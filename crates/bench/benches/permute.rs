@@ -1,6 +1,8 @@
 //! Criterion micro-benchmarks for the six construction algorithms
 //! (the statistical companion to Figures 6.1/6.2; the `figures` binary
-//! produces the full sweeps).
+//! produces the full sweeps), plus the `cliff` group: sequential
+//! cycle-leader builds at a perfect and a non-perfect size side by side,
+//! which prices the Chapter-5 overflow-stripping pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ist_bench::sorted_keys;
@@ -45,5 +47,39 @@ fn bench_permute(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_permute);
+fn bench_cliff(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cliff");
+    group.sample_size(10);
+    // (name, layout, perfect size, non-perfect size); the row names carry
+    // the size so ns/elem can be read off the JSON.
+    let cases = [
+        ("bst", Layout::Bst, (1usize << 19) - 1, 3 << 18),
+        (
+            "btree8",
+            Layout::Btree { b: 8 },
+            9usize.pow(6) - 1,
+            (1 << 19) - 1,
+        ),
+        (
+            "btree16",
+            Layout::Btree { b: 16 },
+            17usize.pow(4) - 1,
+            (1 << 16) - 1,
+        ),
+    ];
+    for (name, layout, perfect, nonperfect) in cases {
+        for (kind, n) in [("perfect", perfect), ("nonperfect", nonperfect)] {
+            group.bench_function(BenchmarkId::new(format!("{name}/{kind}"), n), |bch| {
+                bch.iter_batched(
+                    || sorted_keys(n),
+                    |mut v| permute_in_place_seq(&mut v, layout, Algorithm::CycleLeader).unwrap(),
+                    criterion::BatchSize::LargeInput,
+                )
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_permute, bench_cliff);
 criterion_main!(benches);

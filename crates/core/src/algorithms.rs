@@ -132,24 +132,6 @@ fn shuffle_mod_rounds<M: Machine>(m: &mut M, lo: usize, hi: usize, k: usize) {
     });
 }
 
-/// `k`-way perfect **un**-shuffle of `[lo, hi)` (inverse of
-/// [`shuffle_mod_rounds`]: `J_k` then `J_1`).
-fn unshuffle_mod_rounds<M: Machine>(m: &mut M, lo: usize, hi: usize, k: usize) {
-    let len = hi - lo;
-    if len <= 1 || k <= 1 {
-        return;
-    }
-    debug_assert_eq!(len % k, 0);
-    let nm1 = (len - 1) as u64;
-    let kk = k as u64;
-    m.involution_round(lo, hi, IndexArith::Jmap { len }, move |s| {
-        lo + j_involution(kk, nm1, (s - lo) as u64) as usize
-    });
-    m.involution_round(lo, hi, IndexArith::Jmap { len }, move |s| {
-        lo + j_involution(1, nm1, (s - lo) as u64) as usize
-    });
-}
-
 // ---------------------------------------------------------------------
 // Chapter 2: involution-based constructions
 // ---------------------------------------------------------------------
@@ -330,49 +312,80 @@ fn extended_gather<M: Machine>(m: &mut M, lo: usize, b: usize, levels: u32, repr
 /// array suffix, leaving the full-level elements sorted in the prefix.
 ///
 /// In sorted order the overflow leaves sit at even positions
-/// `0, 2, …, 2(L−1)`, interleaved with their parents: a 2-way un-shuffle
-/// of the first `2L` elements separates `[leaves | parents]`, and one
-/// circular shift of the whole array moves the leaves to the back.
+/// `0, 2, …, 2(L−1)`, interleaved with their parents: the `b = 1` case
+/// of [`strip_overflow_btree`] with `L` groups `[leaf | parent]`.
 pub fn strip_overflow_binary<M: Machine>(m: &mut M, shape: CompleteShape) {
     debug_assert_eq!(m.len(), shape.len());
-    let l = shape.overflow();
-    if l == 0 {
-        return;
-    }
-    unshuffle_mod_rounds(m, 0, 2 * l, 2);
-    let n = shape.len();
-    m.rotate_right(0, n, n - l); // rotate_left by l
+    strip_overflow(m, 1, shape.overflow(), 0);
 }
 
 /// Move the `L` overflow leaves of a complete **B-tree** to the array
-/// suffix (the multiway analogue of [`strip_overflow_binary`]).
+/// suffix, leaving the full-level elements sorted in the prefix.
+///
+/// The overflow region interleaves `q = ⌊L/B⌋` full leaf nodes with
+/// their parents' keys (`[B leaves | parent] × q`), followed by the
+/// `s = L mod B` keys of the partial node.
 pub fn strip_overflow_btree<M: Machine>(m: &mut M, shape: BtreeCompleteShape) {
     debug_assert_eq!(m.len(), shape.len());
-    let b = shape.b();
-    let k = b + 1;
-    let l = shape.overflow();
+    let (q, s) = (shape.full_overflow_nodes(), shape.partial_node_len());
+    strip_overflow(m, shape.b(), q, s);
+}
+
+/// The stripping pass behind both entry points, built from the Chapter-3
+/// gather: `[b leaves | parent] × q | s partial leaves | rest` becomes
+/// `[parents | rest | leaves | partial]`.
+///
+/// `q` splits into its base-`(b+1)` digits, largest first, as blocks of
+/// `(b+1)^j` groups. A block minus its last parent is a perfect region
+/// of `(b+1)^{j+1} − 1` keys, so one extended gather hoists the block's
+/// parents to its front; the blocks are disjoint and gather as parallel
+/// tasks. One circular shift per block then moves the block's leaves
+/// behind the leaves collected so far. The gathers do the perfect-tree
+/// pass's work on the overflow, `O(L log_{b+1} q)`; each shift moves the
+/// block and at most `q` parents collected so far.
+fn strip_overflow<M: Machine>(m: &mut M, b: usize, q: usize, s: usize) {
+    let l = q * b + s;
     if l == 0 {
         return;
     }
-    let q = shape.full_overflow_nodes();
-    let s = shape.partial_node_len();
-    debug_assert_eq!(l, q * b + s);
-    if q > 0 {
-        // [leaf slots S₀..S_{B−1} (q each) | parents (q)]
-        unshuffle_mod_rounds(m, 0, q * k, k);
-        // Regroup leaf-slot lists into per-node runs of B keys.
-        if b >= 2 {
-            shuffle_mod_rounds(m, 0, q * b, b);
-        }
-        // [leaves (qB) | parents (q) | partial (s) | rest]
-        // -> [leaves (qB) | partial (s) | parents (q) | rest]
-        if s > 0 {
-            let len = q + s; // q < len, so "rotate left by q" is:
-            m.rotate_right(q * b, q * b + len, len - q);
-        }
+    let k = b + 1;
+    let mut blocks = Vec::new();
+    let (mut groups, mut levels) = (1usize, 1u32);
+    while groups <= q / k {
+        groups *= k;
+        levels += 1;
     }
-    // [overflow leaves (L) | full elements (I)] -> [full | overflow].
-    let n = shape.len();
+    let (mut lo, mut left) = (0, q);
+    while left > 0 {
+        while groups > left {
+            groups /= k;
+            levels -= 1;
+        }
+        // Only the first (largest) block carries the per-depth fixed
+        // costs: it reaches every depth the smaller blocks do.
+        blocks.push(Region::new(lo, groups * k - 1, (levels, blocks.is_empty())));
+        lo += groups * k;
+        left -= groups;
+    }
+    m.run_tasks(blocks.clone(), |mm, reg| {
+        let (levels, representative) = reg.tag;
+        extended_gather(mm, reg.lo, b, levels, representative)
+    });
+    // [leaves | parents | block parents | block leaves | last parent]
+    // -> [leaves | block leaves | parents | block parents | last parent]
+    let mut leaves = 0;
+    for block in &blocks {
+        let block_leaves = (block.len + 1) / k * b;
+        m.rotate_right(leaves, block.lo + block.len, block_leaves);
+        leaves += block_leaves;
+    }
+    // [leaves | parents (q) | partial (s) | rest]
+    // -> [leaves | partial | parents | rest]
+    if q > 0 && s > 0 {
+        m.rotate_right(q * b, q * k + s, s);
+    }
+    // [overflow leaves (L) | full elements] -> [full | overflow].
+    let n = m.len();
     m.rotate_right(0, n, n - l);
 }
 
@@ -408,9 +421,6 @@ mod tests {
         let mut via_slices = via_machine.clone();
         shuffle_mod_rounds(&mut Ram::seq(&mut via_machine), pad, pad + n, k);
         ist_shuffle::shuffle_mod(&mut via_slices[pad..], k);
-        assert_eq!(via_machine, via_slices);
-        unshuffle_mod_rounds(&mut Ram::seq(&mut via_machine), pad, pad + n, k);
-        ist_shuffle::unshuffle_mod(&mut via_slices[pad..], k);
         assert_eq!(via_machine, via_slices);
     }
 

@@ -2,7 +2,9 @@
 //!
 //! A SIMT (GPU) execution and cost model — the substrate substitution for
 //! the paper's GPU platform (an NVIDIA Tesla K40 programmed in CUDA),
-//! which we do not have. See DESIGN.md for the substitution argument.
+//! which we do not have. It counts the costs the paper's GPU findings
+//! are explained by, so it reproduces their shape (which algorithm wins
+//! and why), not K40 wall-clock times.
 //!
 //! The model charges the three costs that drive the paper's GPU findings
 //! (Figures 6.8–6.9):

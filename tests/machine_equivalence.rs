@@ -17,7 +17,7 @@ use implicit_search_trees::{construct, reference_permutation, Algorithm, Layout,
 fn sizes() -> Vec<usize> {
     vec![
         1, 2, 3, 4, 7, 8, 15, 26, 27, 63, 80, 100, 255, 256, 624, 625, 1000, 4095, 4096, 5000,
-        8191, 12_345,
+        8191, 12_345, 70_000,
     ]
 }
 
@@ -28,6 +28,7 @@ fn layouts() -> Vec<Layout> {
         Layout::Btree { b: 1 },
         Layout::Btree { b: 4 },
         Layout::Btree { b: 8 },
+        Layout::Btree { b: 16 },
     ]
 }
 
@@ -173,5 +174,32 @@ fn cost_backends_charge_costs() {
                 "GPU charged nothing: {layout:?} {algorithm:?}"
             );
         }
+    }
+}
+
+/// Cliff guard for the non-perfect stripping pass: a cycle-leader B-tree
+/// build at a non-perfect size costs at most 2x the PEM block I/Os per
+/// element of the nearest perfect size. A stripping pass built from
+/// modular `J` involution rounds, whose swaps scatter across the array,
+/// costs 2.3x (b = 8) and 4.7x (b = 16) here.
+#[test]
+fn nonperfect_btree_build_has_no_io_cliff() {
+    let io_per_elem = |n: usize, b: usize| {
+        let cfg = PemConfig {
+            m: 256,
+            b: 16,
+            p: 2,
+        };
+        let mut pem = TrackedArray::from_sorted(n, cfg);
+        construct(&mut pem, Layout::Btree { b }, Algorithm::CycleLeader).unwrap();
+        pem.stats().total() as f64 / n as f64
+    };
+    // (b, perfect size (b+1)^m − 1, non-perfect size above it)
+    for (b, perfect, nonperfect) in [(8usize, 6560usize, 8191usize), (16, 4912, 8191)] {
+        let ratio = io_per_elem(nonperfect, b) / io_per_elem(perfect, b);
+        assert!(
+            ratio <= 2.0,
+            "b={b}: {nonperfect} keys cost {ratio:.2}x the I/Os per element of {perfect}"
+        );
     }
 }
