@@ -4,9 +4,13 @@
 //! * transpose-optimized gather (§4.2) vs the plain cycle gather,
 //! * hardware (`reverse_bits`) vs software bit reversal — the paper's
 //!   `T_REV₂` parameter,
-//! * blocked (reversal-based) parallel rotation vs `slice::rotate_right`,
+//! * the parallel block-swap rotation (`rotate_right_par`, Gries–Mills
+//!   swaps split per thread) vs the sequential `slice::rotate_right`,
 //! * equidistant gather vs its naive r-round reference on identical
 //!   inputs.
+//!
+//! Set `IST_BENCH_SMOKE=1` to shrink the inputs and sample counts (CI
+//! report mode).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ist_bench::sorted_keys;
@@ -14,10 +18,15 @@ use ist_bits::{rev2, rev2_software};
 use ist_gather::{equidistant_gather, equidistant_gather_transposed, gather_len};
 use ist_shuffle::{rotate_right, rotate_right_par};
 
+fn smoke() -> bool {
+    std::env::var_os("IST_BENCH_SMOKE").is_some()
+}
+
 fn bench_gather_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("gather_variants");
-    group.sample_size(10);
-    for x in [8u32, 10] {
+    group.sample_size(if smoke() { 3 } else { 10 });
+    let xs: &[u32] = if smoke() { &[8] } else { &[8, 10] };
+    for &x in xs {
         let r = (1usize << x) - 1;
         let n = gather_len(r, r);
         group.bench_function(BenchmarkId::new("cycles", r), |bch| {
@@ -64,7 +73,12 @@ fn bench_bit_reversal(c: &mut Criterion) {
 
 fn bench_rotation(c: &mut Criterion) {
     let mut group = c.benchmark_group("rotation");
-    group.sample_size(10);
+    group.sample_size(if smoke() { 3 } else { 10 });
+    // Smoke mode keeps the full size (about 1 ms a rotation): the first
+    // block-swap step of `rotate_right_par` then carries the 123_457-element
+    // side 7 times, 864_199 swaps, above `ist_shuffle`'s `PAR_WORK` (2^18),
+    // so the split across threads is what gets timed. Smaller sizes run
+    // on the calling thread.
     let n = 1usize << 20;
     group.bench_function("std_rotate", |bch| {
         bch.iter_batched(
@@ -73,7 +87,7 @@ fn bench_rotation(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
-    group.bench_function("reversal_par", |bch| {
+    group.bench_function("block_swap_par", |bch| {
         bch.iter_batched(
             || sorted_keys(n),
             |mut v| rotate_right_par(&mut v, 123_457),

@@ -171,9 +171,6 @@ const RAM_PAR_GRAIN: usize = 1 << 13;
 /// Minimum region size worth a spawned task in [`Ram::run_tasks`].
 const RAM_TASK_GRAIN: usize = 1 << 12;
 
-/// Rotations below this length run sequentially even on a parallel Ram.
-const RAM_ROTATE_GRAIN: usize = 1 << 14;
-
 /// The production backend: the caller's array in RAM, lowered to direct
 /// loops (sequential mode) or rayon-style fork-join execution (parallel
 /// mode).
@@ -321,7 +318,7 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
         debug_assert!(lo <= hi && hi <= self.len);
         // SAFETY: unique access to the region per the Machine contract.
         let region = unsafe { self.region(lo, hi - lo) };
-        if self.par && region.len() >= RAM_ROTATE_GRAIN {
+        if self.par {
             rotate_right_par(region, amount);
         } else {
             rotate_right(region, amount);

@@ -34,7 +34,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 mod iter;
 mod pool;
@@ -50,8 +50,12 @@ pub mod prelude {
 /// Global budget of helper threads that may be live at once.
 static SPAWN_BUDGET: AtomicIsize = AtomicIsize::new(-1);
 
+/// `available_parallelism()`, queried once: on Linux each query reads
+/// the cgroup CPU quota files, which costs tens of microseconds — more
+/// than many of the parallel loops that ask for it.
 fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
+    *HARDWARE_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Logical thread count the global budget is derived from: the

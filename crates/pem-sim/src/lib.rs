@@ -180,6 +180,14 @@ impl TrackedArray {
 
     /// Rotate `[lo, hi)` right by `amount` via the three-reversal
     /// identity (the blocked, I/O-friendly rotation of §4.2).
+    ///
+    /// This is the paper's cost model on purpose: the `Ram` backend
+    /// lowers the same shift to Gries–Mills block swaps
+    /// (`ist_shuffle::rotate_right_par`), which move fewer elements but
+    /// whose access sequence depends on the two side lengths' Euclid
+    /// steps. Both stream the region in `O(len / B)` blocks, so the
+    /// asymptotic I/O count is the same; keeping the reversals keeps the
+    /// simulated counts comparable with the paper's analysis.
     pub fn rotate_right(&mut self, lo: usize, hi: usize, amount: usize) {
         let len = hi - lo;
         if len == 0 {

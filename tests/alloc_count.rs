@@ -8,12 +8,18 @@
 //! payload-sized buffer per array (keys, values): the aligned
 //! destination the layout scatter writes into directly.
 //!
+//! The in-place constructions make the stronger promise the paper's
+//! title does: `permute_in_place` allocates no buffer proportional to
+//! `n` at all, so a rotation or gather that reached for an O(n) scratch
+//! copy would fail here.
+//!
 //! Lives in its own integration-test binary because it installs a
-//! counting `#[global_allocator]`; run with `--test-threads=1`
-//! semantics by construction (single `#[test]`).
+//! counting `#[global_allocator]`; the tests take [`ARMED`] so only one
+//! of them counts at a time.
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Counts allocations at least `THRESHOLD` bytes (0 = disarmed). The
 /// size gate filters out incidental small allocations (thread-spawn
@@ -23,6 +29,10 @@ struct CountingAlloc;
 
 static THRESHOLD: AtomicUsize = AtomicUsize::new(0);
 static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+/// Held while a test has the counter armed; the counter is global, so
+/// two tests counting at once would see each other's allocations.
+static ARMED: Mutex<()> = Mutex::new(());
 
 // SAFETY: pure pass-through to `System` plus a counter — allocation
 // behavior (size, alignment, validity of returned pointers) is exactly
@@ -53,6 +63,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn rebuild_hot_path_allocates_once_per_array() {
     use implicit_search_trees::{Algorithm, QueryKind, StaticMap};
 
+    let _armed = ARMED.lock().unwrap_or_else(|e| e.into_inner());
     let n = 1usize << 16;
     let payload = n * size_of::<u64>();
     let keys: Vec<u64> = (0..n as u64).collect();
@@ -90,4 +101,34 @@ fn rebuild_hot_path_allocates_once_per_array() {
         "Sorted: zero-copy adoption must not allocate"
     );
     assert_eq!(map.unwrap().len(), n);
+}
+
+#[test]
+fn parallel_in_place_construction_allocates_no_large_buffer() {
+    use implicit_search_trees::{permute_in_place, reference_permutation, Algorithm, Layout};
+
+    let _armed = ARMED.lock().unwrap_or_else(|e| e.into_inner());
+    // 2^20 is a non-perfect size for every layout below, so the overflow
+    // strip's rotations run as well as the perfect-tree construction.
+    let n = 1usize << 20;
+    let threshold = n * size_of::<u64>() / 16;
+    let keys: Vec<u64> = (0..n as u64).collect();
+
+    for layout in [Layout::Bst, Layout::Veb, Layout::Btree { b: 16 }] {
+        let mut data = keys.clone(); // cloned while disarmed
+        BIG_ALLOCS.store(0, Ordering::SeqCst);
+        THRESHOLD.store(threshold, Ordering::SeqCst);
+        let built = permute_in_place(&mut data, layout, Algorithm::CycleLeader);
+        THRESHOLD.store(0, Ordering::SeqCst);
+        built.unwrap();
+        assert_eq!(
+            BIG_ALLOCS.load(Ordering::SeqCst),
+            0,
+            "{layout:?}: in-place construction allocated a buffer of at least {threshold} bytes"
+        );
+        assert!(
+            data == reference_permutation(&keys, layout),
+            "{layout:?}: wrong layout"
+        );
+    }
 }
